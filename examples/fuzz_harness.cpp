@@ -27,6 +27,8 @@
 //   1. the returned schedule validates against the instance shape,
 //   2. the reported cost equals an independent re-evaluation of the
 //      schedule (solvers cannot mis-report what their schedule costs), and
+//      the search loops' total-only scorer (score_fully_sync) agrees with
+//      that re-evaluation, and
 //   3. the cost is bounded below by the exhaustive optimum (no solver may
 //      "beat" the ground truth — that would mean an invalid schedule or a
 //      broken evaluator).
@@ -128,6 +130,17 @@ void dump_reproducer(const FuzzInstance& fuzz, std::uint64_t seed,
   std::fprintf(stderr, "trace:\n%s", io::trace_to_string(fuzz.trace).c_str());
 }
 
+/// "" when the total-only scorer agrees with the evaluator's total on
+/// `schedule`, else the disagreement for the reproducer dump.
+std::string score_mismatch(const SolveInstance& instance,
+                           const MultiTaskSchedule& schedule,
+                           Cost evaluated) {
+  const Cost scored = score_fully_sync(instance, schedule);
+  if (scored == evaluated) return "";
+  return "scored cost " + std::to_string(scored) + " != evaluated cost " +
+         std::to_string(evaluated);
+}
+
 /// Checks one solver on one instance; returns false (after dumping the
 /// reproducer) on the first disagreement.  `skipped` counts solvers that
 /// legitimately declined the instance (the DP members reject changeover
@@ -168,6 +181,12 @@ bool check_solver(const NamedSolver& solver, const SolveInstance& instance,
                       "reported cost " + std::to_string(solution.total()) +
                           " != re-evaluated cost " +
                           std::to_string(replay.total));
+      return false;
+    }
+    const std::string mismatch =
+        score_mismatch(instance, solution.schedule, replay.total);
+    if (!mismatch.empty()) {
+      dump_reproducer(fuzz, seed, solver.name, mismatch);
       return false;
     }
   } catch (const std::exception& error) {
@@ -335,6 +354,12 @@ bool check_hierarchical_iteration(std::uint64_t seed) {
                       "reported cost " + std::to_string(solution.total()) +
                           " != re-evaluated cost " +
                           std::to_string(replay.total));
+      return false;
+    }
+    const std::string mismatch =
+        score_mismatch(instance, solution.schedule, replay.total);
+    if (!mismatch.empty()) {
+      dump_reproducer(fuzz, seed, tag, mismatch);
       return false;
     }
   } catch (const std::exception& error) {

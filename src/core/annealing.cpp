@@ -1,10 +1,23 @@
 #include "core/annealing.hpp"
 
 #include <cmath>
+#include <utility>
 
 #include "support/rng.hpp"
 
 namespace hyperrec {
+
+namespace {
+
+void toggle(DynamicBitset& mask, std::size_t pos) {
+  if (mask.test(pos)) {
+    mask.reset(pos);
+  } else {
+    mask.set(pos);
+  }
+}
+
+}  // namespace
 
 MTSolution solve_annealing(const MultiTaskTrace& trace,
                            const MachineSpec& machine,
@@ -38,20 +51,16 @@ MTSolution solve_annealing(const SolveInstance& instance,
     }
   }
 
-  auto build = [&](const std::vector<DynamicBitset>& genes) {
-    MultiTaskSchedule schedule;
-    schedule.tasks.reserve(genes.size());
-    for (const DynamicBitset& mask : genes) {
-      schedule.tasks.push_back(Partition::from_boundary_mask(mask));
-    }
-    if (global_resources) schedule.global_boundaries.push_back(0);
-    return schedule;
-  };
-  auto cost_of = [&](const std::vector<DynamicBitset>& genes) {
-    return evaluate_fully_sync_switch(instance, build(genes)).total;
-  };
+  // The one schedule every candidate is scored from: a move changes one
+  // task's mask, so only that task's partition is rebuilt (in place).
+  MultiTaskSchedule schedule;
+  schedule.tasks.assign(masks.size(), Partition::single(n));
+  for (std::size_t j = 0; j < masks.size(); ++j) {
+    schedule.tasks[j].assign_boundary_mask(masks[j]);
+  }
+  if (global_resources) schedule.global_boundaries.push_back(0);
 
-  Cost current = cost_of(masks);
+  Cost current = score_fully_sync(instance, schedule);
   std::vector<DynamicBitset> best = masks;
   Cost best_cost = current;
 
@@ -59,52 +68,51 @@ MTSolution solve_annealing(const SolveInstance& instance,
                            ? config.initial_temperature
                            : static_cast<double>(machine.total_switches());
 
-  // Hoisted out of the iteration loop: copy-assignment below reuses the
-  // vector's (and each bitset's) capacity instead of reallocating per move.
-  std::vector<DynamicBitset> neighbour;
-
   // lint: hot-loop begin
   for (std::size_t it = 0; it < config.iterations; ++it) {
     if (config.cancel.cancelled()) break;
     // Move: flip a random boundary bit, or slide a boundary by one step.
+    // The move is applied in place and recorded as the bits it toggled, so
+    // a rejected move is undone by toggling them back.
     const std::size_t j = rng.uniform(m);
     const std::size_t s = 1 + rng.uniform(n - 1);
-    neighbour = masks;
+    DynamicBitset& mask = masks[j];
+    std::size_t slid_to = n;  // second toggled bit of a slide; n = none
     if (rng.flip(0.7) || n < 3) {
-      if (neighbour[j].test(s)) {
-        neighbour[j].reset(s);
-      } else {
-        neighbour[j].set(s);
-      }
+      toggle(mask, s);
     } else {
       // Slide: move boundary s to s±1 when possible.
       const std::size_t to = rng.flip(0.5) && s + 1 < n ? s + 1
                              : (s > 1 ? s - 1 : s + 1);
-      if (to < n && neighbour[j].test(s) && !neighbour[j].test(to)) {
-        neighbour[j].reset(s);
-        neighbour[j].set(to);
-      } else if (neighbour[j].test(s)) {
-        neighbour[j].reset(s);
-      } else {
-        neighbour[j].set(s);
+      if (to < n && mask.test(s) && !mask.test(to)) {
+        slid_to = to;
+        toggle(mask, to);
       }
+      toggle(mask, s);
     }
+    schedule.tasks[j].assign_boundary_mask(mask);
 
-    const Cost candidate = cost_of(neighbour);
+    const Cost candidate = score_fully_sync(instance, schedule);
     const Cost delta = candidate - current;
     if (delta <= 0 ||
         rng.uniform01() < std::exp(-static_cast<double>(delta) / temperature)) {
-      masks = std::move(neighbour);
       current = candidate;
       if (current < best_cost) {
         best_cost = current;
         best = masks;
       }
+    } else {
+      toggle(mask, s);
+      if (slid_to < n) toggle(mask, slid_to);
+      schedule.tasks[j].assign_boundary_mask(mask);
     }
     temperature *= config.cooling;
   }
   // lint: hot-loop end
-  return make_solution(instance, build(best));
+  for (std::size_t j = 0; j < best.size(); ++j) {
+    schedule.tasks[j].assign_boundary_mask(best[j]);
+  }
+  return make_solution(instance, std::move(schedule));
 }
 
 }  // namespace hyperrec

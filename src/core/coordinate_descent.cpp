@@ -1,5 +1,7 @@
 #include "core/coordinate_descent.hpp"
 
+#include <utility>
+
 #include "core/aligned_dp.hpp"
 #include "support/bitset_kernels.hpp"
 #include "support/cost_math.hpp"
@@ -7,8 +9,6 @@
 namespace hyperrec {
 
 namespace {
-
-constexpr Cost kInfinity = kCostInfinity;
 
 Cost combine(UploadMode mode, Cost acc, Cost value) {
   return mode == UploadMode::kTaskParallel ? std::max(acc, value)
@@ -39,9 +39,7 @@ FrozenProfile freeze(const SolveInstance& instance,
       const auto [lo, hi] = partition.interval_bounds(k);
       // The no-allocation count fast path: the frozen profile only needs
       // |U| + priv, never the union bitset itself.
-      const Cost size =
-          static_cast<Cost>(stats.local_union_count(lo, hi)) +
-          static_cast<Cost>(stats.max_private_demand(lo, hi));
+      const Cost size = static_cast<Cost>(stats.hypercontext_size(lo, hi));
       profile.hyper[lo] = combine(options.hyper_upload, profile.hyper[lo],
                                   machine.tasks[j].local_init);
       for (std::size_t l = lo; l < hi; ++l) {
@@ -61,7 +59,7 @@ Partition optimize_task(const SolveInstance& instance,
   const std::size_t n = task.size();
   const Cost v = instance.machine().tasks[t].local_init;
 
-  std::vector<Cost> best(n + 1, kInfinity);
+  std::vector<Cost> best(n + 1, kCostInfinity);
   std::vector<std::size_t> parent(n + 1, 0);
   best[0] = 0;
 
@@ -119,7 +117,7 @@ Partition optimize_task(const SolveInstance& instance,
       const Cost hyper_with =
           combine(options.hyper_upload, profile.hyper[start], v);
       Cost interval_cost = hyper_with - profile.hyper[start];
-      if (sequential && size <= kInfinity - max_reconfig) {
+      if (sequential && size <= kCostInfinity - max_reconfig) {
         interval_cost = cost_add(
             interval_cost, cost_mul(size, static_cast<Cost>(end - start)));
       } else {
@@ -180,7 +178,7 @@ MTSolution solve_coordinate_descent(const SolveInstance& instance,
     }
     return solve_aligned_dp(instance).schedule;
   }();
-  Cost current = evaluate_fully_sync_switch(instance, schedule).total;
+  Cost current = score_fully_sync(instance, schedule);
 
   const std::size_t m = trace.task_count();
   // lint: hot-loop begin
@@ -191,14 +189,16 @@ MTSolution solve_coordinate_descent(const SolveInstance& instance,
         return make_solution(instance, std::move(schedule));
       }
       const FrozenProfile profile = freeze(instance, schedule, t);
+      // Score the candidate in place; swap the old partition back unless
+      // it improves.
       Partition candidate = optimize_task(instance, profile, t);
-      MultiTaskSchedule trial = schedule;
-      trial.tasks[t] = std::move(candidate);
-      const Cost trial_cost = evaluate_fully_sync_switch(instance, trial).total;
+      std::swap(schedule.tasks[t], candidate);
+      const Cost trial_cost = score_fully_sync(instance, schedule);
       if (trial_cost < current) {
-        schedule = std::move(trial);
         current = trial_cost;
         improved = true;
+      } else {
+        std::swap(schedule.tasks[t], candidate);
       }
     }
     if (!improved) break;

@@ -55,7 +55,7 @@ MTSolution solve_exhaustive(const SolveInstance& instance) {
   const std::uint64_t limit = std::uint64_t{1} << free_bits;
   for (std::uint64_t code = 0; code < limit; ++code) {
     decode_into(code);
-    const Cost total = evaluate_fully_sync_switch(instance, schedule).total;
+    const Cost total = score_fully_sync(instance, schedule);
     if (total < best_cost) {
       best_cost = total;
       best_code = code;

@@ -7,13 +7,14 @@
 // conventional generational GA and documents every choice:
 //   * chromosome: one boundary bitmask per task (bit s ⇒ the task performs a
 //     partial hyperreconfiguration before step s); bit 0 is forced,
-//   * fitness: the exact §4.2 cost of the decoded schedule,
+//   * fitness: the exact §4.2 cost of the decoded schedule, from the
+//     allocation-free scorer (score_fully_sync),
 //   * tournament selection, per-task two-point crossover, per-bit mutation,
 //   * elitism plus random immigrants for diversity,
 //   * seeded population: aligned-DP solution, single-interval and
 //     every-step schedules alongside random masks,
-//   * fitness evaluation parallelised over the population (deterministic:
-//     all randomness lives in the serial breeding phase).
+//   * serial fitness scoring (parallelism lives in the portfolio and batch
+//     layers, which run whole solvers and jobs side by side).
 #pragma once
 
 #include <cstdint>
@@ -32,7 +33,6 @@ struct GaConfig {
   std::size_t elites = 2;
   std::size_t immigrants = 2;
   std::uint64_t seed = 0x5EEDF00Dull;
-  bool parallel_fitness = true;
   /// Extra seed individual injected into the initial population (e.g. a
   /// cached warm-start incumbent); 0 or 1 entries.
   std::vector<MultiTaskSchedule> seed_schedule;

@@ -3,19 +3,17 @@
 #include <algorithm>
 #include <atomic>
 #include <future>
-#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "cache/fingerprint.hpp"
 #include "model/trace_stats.hpp"
+#include "support/cost_math.hpp"
 
 namespace hyperrec {
 
 namespace {
-
-constexpr Cost kInfinity = std::numeric_limits<Cost>::max() / 4;
 
 /// Σ_j max-demand_j([lo, hi)) ≤ g — same block-feasibility rule as the
 /// evaluator's quota check, O(1) per task from the precomputed stats.
@@ -195,11 +193,11 @@ HierarchicalResult solve_hierarchical(const SolveInstance& instance,
   std::vector<std::size_t> global_bounds;
   if (machine.has_global_resources()) {
     const Cost w = machine.global_init;
-    std::vector<Cost> best(segments + 1, kInfinity);
+    std::vector<Cost> best(segments + 1, kCostInfinity);
     std::vector<std::size_t> parent(segments + 1, 0);
     best[0] = 0;
     for (std::size_t a = 0; a < segments; ++a) {
-      if (best[a] >= kInfinity) continue;
+      if (best[a] >= kCostInfinity) continue;
       for (std::size_t b = a + 1; b <= segments; ++b) {
         const std::size_t hi = b < segments ? seg_starts[b] : n;
         if (!block_feasible(instance, seg_starts[a], hi)) break;
@@ -210,7 +208,8 @@ HierarchicalResult solve_hierarchical(const SolveInstance& instance,
         }
       }
     }
-    HYPERREC_ASSERT(best[segments] < kInfinity);  // single segments feasible
+    // Single segments are feasible.
+    HYPERREC_ASSERT(best[segments] < kCostInfinity);
     for (std::size_t cursor = segments; cursor != 0; cursor = parent[cursor]) {
       global_bounds.push_back(seg_starts[parent[cursor]]);
     }
@@ -258,8 +257,7 @@ HierarchicalResult solve_hierarchical(const SolveInstance& instance,
             (it + 1 != starts.end()) ? *(it + 1) : n;
         const TaskTraceStats& stats = instance.task_stats(j);
         auto interval_cost = [&stats](std::size_t lo, std::size_t hi) {
-          return (static_cast<Cost>(stats.local_union_count(lo, hi)) +
-                  static_cast<Cost>(stats.max_private_demand(lo, hi))) *
+          return static_cast<Cost>(stats.hypercontext_size(lo, hi)) *
                  static_cast<Cost>(hi - lo);
         };
         const Cost reconfig_delta = interval_cost(p, q) -

@@ -1,15 +1,13 @@
 #include "core/private_global.hpp"
 
 #include <algorithm>
-#include <limits>
 
 #include "core/coordinate_descent.hpp"
+#include "support/cost_math.hpp"
 
 namespace hyperrec {
 
 namespace {
-
-constexpr Cost kInfinity = std::numeric_limits<Cost>::max() / 4;
 
 /// Copies steps [lo, hi) of every task into a fresh trace.
 MultiTaskTrace subtrace(const MultiTaskTrace& trace, std::size_t lo,
@@ -97,12 +95,12 @@ PrivateGlobalSolution solve_private_global(const MultiTaskTrace& trace,
   // per-block quotas are range maxima, a superset of an infeasible block is
   // infeasible too — the scan `break`s at the first infeasible end.
   PrivateGlobalSolution result;
-  std::vector<Cost> best(c + 1, kInfinity);
+  std::vector<Cost> best(c + 1, kCostInfinity);
   std::vector<std::size_t> parent(c + 1, 0);
   std::vector<MTSolution> best_block(c + 1);  // inner solution of (parent[b], b)
   best[0] = 0;
   for (std::size_t a = 0; a < c; ++a) {
-    if (best[a] >= kInfinity) continue;  // unreachable from candidate 0
+    if (best[a] >= kCostInfinity) continue;  // unreachable from candidate 0
     for (std::size_t b = a + 1; b <= c; ++b) {
       const std::size_t lo = candidates[a];
       const std::size_t hi = b < c ? candidates[b] : n;
@@ -125,7 +123,7 @@ PrivateGlobalSolution solve_private_global(const MultiTaskTrace& trace,
       }
     }
   }
-  HYPERREC_ENSURE(best[c] < kInfinity,
+  HYPERREC_ENSURE(best[c] < kCostInfinity,
                   "no feasible global-block decomposition exists");
 
   // Reconstruct blocks.

@@ -1,9 +1,11 @@
 #include "model/cost_switch.hpp"
 
 #include <algorithm>
+#include <array>
 
 #include "model/instance.hpp"
 #include "model/trace_stats.hpp"
+#include "support/bitset_kernels.hpp"
 
 namespace hyperrec {
 
@@ -64,21 +66,18 @@ void check_private_feasibility(const MultiTaskTraceStats& stats,
   }
 }
 
-/// Stats-backed §4.2 evaluation core.  Per task and interval it derives the
-/// minimal hypercontext *size* from the precomputed tables (O(words) per
-/// interval); the union bitsets themselves are materialised only when the
-/// changeover term needs them.
-CostBreakdown evaluate_fully_sync_impl(const MultiTaskTrace& trace,
-                                       const MultiTaskTraceStats& stats,
-                                       const MachineSpec& machine,
-                                       const MultiTaskSchedule& schedule,
-                                       const EvalOptions& options) {
-  machine.validate_trace(trace);
+/// The §4.2 input checks shared by the evaluator and the scorer: equal-length
+/// traces, schedule shape, global-boundary placement and private-global
+/// feasibility.  The machine/trace shape check is the caller's — the
+/// SolveInstance constructor already ran it.
+void check_fully_sync_inputs(const MultiTaskTrace& trace,
+                             const MultiTaskTraceStats& stats,
+                             const MachineSpec& machine,
+                             const MultiTaskSchedule& schedule) {
   HYPERREC_ENSURE(trace.synchronized(),
                   "fully synchronised evaluation requires equal-length traces");
   const std::size_t n = trace.steps();
-  const std::size_t m = trace.task_count();
-  schedule.validate(m, n);
+  schedule.validate(trace.task_count(), n);
   if (machine.has_global_resources()) {
     HYPERREC_ENSURE(!schedule.global_boundaries.empty() &&
                         schedule.global_boundaries.front() == 0,
@@ -90,6 +89,20 @@ CostBreakdown evaluate_fully_sync_impl(const MultiTaskTrace& trace,
                     "hyperreconfigurations");
   }
   check_private_feasibility(stats, machine, schedule, n);
+}
+
+/// Stats-backed §4.2 evaluation core.  Per task and interval it derives the
+/// minimal hypercontext *size* from the precomputed tables (O(words) per
+/// interval); the union bitsets themselves are materialised only when the
+/// changeover term needs them.
+CostBreakdown evaluate_fully_sync_impl(const MultiTaskTrace& trace,
+                                       const MultiTaskTraceStats& stats,
+                                       const MachineSpec& machine,
+                                       const MultiTaskSchedule& schedule,
+                                       const EvalOptions& options) {
+  check_fully_sync_inputs(trace, stats, machine, schedule);
+  const std::size_t n = trace.steps();
+  const std::size_t m = trace.task_count();
 
   // Per task: interval sizes |U| + priv from the stats views, flattened into
   // one arena indexed by a per-task offset + interval cursor (one allocation
@@ -116,8 +129,7 @@ CostBreakdown evaluate_fully_sync_impl(const MultiTaskTrace& trace,
     for (std::size_t k = 0; k < partition.interval_count(); ++k) {
       const auto [start, end] = partition.interval_bounds(k);
       flat_sizes.push_back(
-          static_cast<Cost>(task.local_union_count(start, end)) +
-          static_cast<Cost>(task.max_private_demand(start, end)));
+          static_cast<Cost>(task.hypercontext_size(start, end)));
       if (options.changeover) unions[j].push_back(task.local_union(start, end));
     }
   }
@@ -176,7 +188,6 @@ AsyncCostBreakdown evaluate_async_impl(const MultiTaskTrace& trace,
                                        const MachineSpec& machine,
                                        const MultiTaskSchedule& schedule,
                                        const EvalOptions& options) {
-  machine.validate_trace(trace);
   HYPERREC_ENSURE(machine.public_context_size == 0,
                   "public resources require a context- or fully-synchronised "
                   "machine (§3)");
@@ -210,8 +221,7 @@ AsyncCostBreakdown evaluate_async_impl(const MultiTaskTrace& trace,
     for (std::size_t k = 0; k < partition.interval_count(); ++k) {
       const auto [start, end] = partition.interval_bounds(k);
       const Cost reconfig_each =
-          static_cast<Cost>(task.local_union_count(start, end)) +
-          static_cast<Cost>(task.max_private_demand(start, end));
+          static_cast<Cost>(task.hypercontext_size(start, end));
       if (options.changeover) unions.push_back(task.local_union(start, end));
       total += local_hyper_cost(machine, j, unions, k, options.changeover);
       total += reconfig_each * static_cast<Cost>(end - start);
@@ -226,6 +236,91 @@ AsyncCostBreakdown evaluate_async_impl(const MultiTaskTrace& trace,
                                                breakdown.per_task.end());
   breakdown.total = breakdown.global_hyper + slowest;
   return breakdown;
+}
+
+/// The scorer's arithmetic once its inputs are checked (see
+/// score_fully_sync).  Forced inline, so score_pass_popcnt below and the
+/// portable call in score_fully_sync each compile their own copy for their
+/// own target.
+[[gnu::always_inline]] inline Cost score_pass(
+    const MultiTaskTraceStats& stats, const MachineSpec& machine,
+    const MultiTaskSchedule& schedule, const EvalOptions& options) {
+  const std::size_t n = stats.trace().steps();
+  const std::size_t m = stats.task_count();
+  const bool hyper_parallel = options.hyper_upload == UploadMode::kTaskParallel;
+  const bool reconfig_parallel =
+      options.reconfig_upload == UploadMode::kTaskParallel;
+  const Cost public_size = static_cast<Cost>(machine.public_context_size);
+
+  // Global term: w per global hyperreconfiguration (validated < n, unique).
+  Cost total = static_cast<Cost>(schedule.global_boundaries.size()) *
+               machine.global_init;
+  if (!reconfig_parallel) total += static_cast<Cost>(n) * public_size;
+
+  // One chunk-major pass over the boundaries, 64 steps at a time.  The
+  // task-sequential terms are closed forms charged per interval where it
+  // starts — v_j for the hyper term, size·length for the reconfig term —
+  // while the task-parallel terms keep one stack slot per step of the
+  // chunk: each boundary step is charged the largest v_j of the tasks
+  // hyperreconfiguring there, and each step the largest interval size in
+  // force (at least |h^pub|).
+  constexpr std::size_t kChunk = 64;
+  std::array<Cost, kChunk> hyper_at;
+  std::array<Cost, kChunk> reconfig_at;
+  for (std::size_t chunk = 0; chunk < n; chunk += kChunk) {
+    const std::size_t chunk_end = std::min(n, chunk + kChunk);
+    if (hyper_parallel) hyper_at.fill(0);
+    if (reconfig_parallel) reconfig_at.fill(public_size);
+    for (std::size_t j = 0; j < m; ++j) {
+      const TaskTraceStats& task = stats.task(j);
+      const std::vector<std::size_t>& starts = schedule.tasks[j].starts();
+      const std::size_t intervals = starts.size();
+      const Cost v = machine.tasks[j].local_init;
+      // First interval overlapping the chunk (starts[0] == 0 <= chunk).
+      std::size_t k = chunk == 0
+                          ? 0
+                          : static_cast<std::size_t>(
+                                std::upper_bound(starts.begin(), starts.end(),
+                                                 chunk) -
+                                starts.begin() - 1);
+      for (; k < intervals && starts[k] < chunk_end; ++k) {
+        const std::size_t start = starts[k];
+        const std::size_t end = k + 1 < intervals ? starts[k + 1] : n;
+        const bool starts_here = start >= chunk;
+        if (starts_here) {
+          if (hyper_parallel) {
+            hyper_at[start - chunk] = std::max(hyper_at[start - chunk], v);
+          } else {
+            total += v;
+          }
+        }
+        if (reconfig_parallel) {
+          const Cost size =
+              static_cast<Cost>(task.hypercontext_size(start, end));
+          const std::size_t hi = std::min(end, chunk_end) - chunk;
+          for (std::size_t l = std::max(start, chunk) - chunk; l < hi; ++l) {
+            reconfig_at[l] = std::max(reconfig_at[l], size);
+          }
+        } else if (starts_here) {
+          total += static_cast<Cost>(task.hypercontext_size(start, end)) *
+                   static_cast<Cost>(end - start);
+        }
+      }
+    }
+    for (std::size_t l = 0; l < chunk_end - chunk; ++l) {
+      if (hyper_parallel) total += hyper_at[l];
+      if (reconfig_parallel) total += reconfig_at[l];
+    }
+  }
+  return total;
+}
+
+/// The pass for CPUs with a hardware popcount (kernels::hardware_popcount):
+/// the one-word interval unions then cost one instruction each.
+HYPERREC_TARGET_POPCNT Cost score_pass_popcnt(
+    const MultiTaskTraceStats& stats, const MachineSpec& machine,
+    const MultiTaskSchedule& schedule, const EvalOptions& options) {
+  return score_pass(stats, machine, schedule, options);
 }
 
 }  // namespace
@@ -256,8 +351,9 @@ CostBreakdown evaluate_fully_sync_switch(const MultiTaskTrace& trace,
                                          const MachineSpec& machine,
                                          const MultiTaskSchedule& schedule,
                                          const EvalOptions& options) {
-  return evaluate_fully_sync_impl(trace, MultiTaskTraceStats(trace), machine,
-                                  schedule, options);
+  const MultiTaskTraceStats stats(trace);
+  machine.validate_trace(trace);
+  return evaluate_fully_sync_impl(trace, stats, machine, schedule, options);
 }
 
 CostBreakdown evaluate_fully_sync_switch(const SolveInstance& instance,
@@ -267,12 +363,28 @@ CostBreakdown evaluate_fully_sync_switch(const SolveInstance& instance,
                                   instance.options());
 }
 
+Cost score_fully_sync(const SolveInstance& instance,
+                      const MultiTaskSchedule& schedule) {
+  const EvalOptions& options = instance.options();
+  // The changeover Δ term needs the union bitsets themselves.
+  if (options.changeover) {
+    return evaluate_fully_sync_switch(instance, schedule).total;
+  }
+  const MultiTaskTraceStats& stats = instance.stats();
+  const MachineSpec& machine = instance.machine();
+  check_fully_sync_inputs(instance.trace(), stats, machine, schedule);
+  return kernels::hardware_popcount()
+             ? score_pass_popcnt(stats, machine, schedule, options)
+             : score_pass(stats, machine, schedule, options);
+}
+
 AsyncCostBreakdown evaluate_async_switch(const MultiTaskTrace& trace,
                                          const MachineSpec& machine,
                                          const MultiTaskSchedule& schedule,
                                          const EvalOptions& options) {
-  return evaluate_async_impl(trace, MultiTaskTraceStats(trace), machine,
-                             schedule, options);
+  const MultiTaskTraceStats stats(trace);
+  machine.validate_trace(trace);
+  return evaluate_async_impl(trace, stats, machine, schedule, options);
 }
 
 AsyncCostBreakdown evaluate_async_switch(const SolveInstance& instance,

@@ -81,19 +81,32 @@ struct CostBreakdown {
 };
 
 /// §4.2 evaluator for fully synchronised machines.  Requires a synchronized
-/// trace; validates the schedule, the private-global quota feasibility and
-/// the machine/trace shapes.  Builds a one-off stats view internally; the
-/// SolveInstance overload below reuses the instance's shared precomputation
-/// and is the hot-path entry point.
+/// trace; validates the machine/trace shapes, the schedule and the
+/// private-global quota feasibility.  Builds a one-off stats view
+/// internally; the SolveInstance overload below reuses the instance's shared
+/// precomputation and is the hot-path entry point.
 [[nodiscard]] CostBreakdown evaluate_fully_sync_switch(
     const MultiTaskTrace& trace, const MachineSpec& machine,
     const MultiTaskSchedule& schedule, const EvalOptions& options = {});
 
 /// Instance-backed §4.2 evaluator: identical semantics (bit-identical
 /// CostBreakdown), but every interval union/demand query hits the
-/// instance's precomputed tables.
+/// instance's precomputed tables, and the machine/trace shape check is left
+/// to the SolveInstance constructor that already ran it.
 [[nodiscard]] CostBreakdown evaluate_fully_sync_switch(
     const SolveInstance& instance, const MultiTaskSchedule& schedule);
+
+/// The §4.2 total alone, for search loops that rank millions of candidate
+/// schedules: returns exactly evaluate_fully_sync_switch(instance,
+/// schedule).total and runs the same schedule, global-boundary and
+/// private-global checks (same PreconditionError texts), but keeps no
+/// per-step record and makes no heap allocation — task-sequential terms in
+/// closed form from the instance's interval tables, task-parallel maxima in
+/// one chunked pass over the boundaries.  Changeover instances delegate to
+/// the evaluator (the Δ term needs the union bitsets).  Solvers score with
+/// this and build their returned MTSolution with make_solution.
+[[nodiscard]] Cost score_fully_sync(const SolveInstance& instance,
+                                    const MultiTaskSchedule& schedule);
 
 struct AsyncCostBreakdown {
   Cost total = 0;
@@ -110,7 +123,8 @@ struct AsyncCostBreakdown {
     const MultiTaskTrace& trace, const MachineSpec& machine,
     const MultiTaskSchedule& schedule, const EvalOptions& options = {});
 
-/// Instance-backed §4.1 evaluator (shared precomputation, same result).
+/// Instance-backed §4.1 evaluator (shared precomputation, same result; the
+/// shape check is the SolveInstance constructor's, as above).
 [[nodiscard]] AsyncCostBreakdown evaluate_async_switch(
     const SolveInstance& instance, const MultiTaskSchedule& schedule);
 

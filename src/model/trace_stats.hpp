@@ -105,6 +105,24 @@ class TaskTraceStats {
     return std::max(priv_rows_[row(k, lo)], priv_rows_[row(k, hi - span)]);
   }
 
+  /// local_union_count(lo, hi) + max_private_demand(lo, hi) — the size
+  /// |h^loc| + |h^priv| of the minimal hypercontext over [lo, hi) — with one
+  /// range check and one level lookup (the two tables share row indices).
+  /// Every evaluator and solver that prices a schedule interval asks this.
+  [[nodiscard]] std::size_t hypercontext_size(std::size_t lo,
+                                              std::size_t hi) const {
+    check_range(lo, hi);
+    if (lo == hi) return 0;
+    const std::size_t k = log2_[hi - lo];
+    const std::size_t first = row(k, lo);
+    const std::size_t second = row(k, hi - (std::size_t{1} << k));
+    const std::size_t priv = std::max(priv_rows_[first], priv_rows_[second]);
+    if (words_ == 0) return priv;
+    return priv + kernels::or_popcount(union_rows_.data() + first * words_,
+                                       union_rows_.data() + second * words_,
+                                       words_);
+  }
+
   /// Switches that appear in at least one step, ascending.
   [[nodiscard]] const std::vector<std::size_t>& support() const noexcept {
     return support_;

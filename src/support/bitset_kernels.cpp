@@ -527,4 +527,8 @@ const char* active_isa() noexcept { return dispatch().active->name; }
 
 bool force_scalar_requested() noexcept { return dispatch().forced; }
 
+bool hardware_popcount() noexcept {
+  return dispatch().active != &kScalarTable;
+}
+
 }  // namespace hyperrec::kernels

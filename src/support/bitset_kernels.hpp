@@ -93,6 +93,20 @@ struct KernelTable {
 /// True when the HYPERREC_FORCE_SCALAR override pinned dispatch to scalar.
 [[nodiscard]] bool force_scalar_requested() noexcept;
 
+/// True when the dispatched flavour is a SIMD one — every such CPU has a
+/// hardware popcount.  A hot loop built on the inline wrappers below can
+/// keep a second copy compiled with HYPERREC_TARGET_POPCNT and call it when
+/// this holds: the wrappers' single-word path then inlines to one popcnt
+/// instruction instead of a library call.  Forcing scalar selects the
+/// portable copy, so the scalar test leg still covers it.
+[[nodiscard]] bool hardware_popcount() noexcept;
+
+#if defined(__GNUC__) && (defined(__x86_64__) || defined(__i386__))
+#define HYPERREC_TARGET_POPCNT __attribute__((target("popcnt")))
+#else
+#define HYPERREC_TARGET_POPCNT
+#endif
+
 // --- inline wrappers: the only calling convention consumers use -----------
 
 /// Word counts at or below this run the inlined scalar path (bit-identical

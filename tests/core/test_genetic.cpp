@@ -42,19 +42,6 @@ TEST(Genetic, DeterministicForSeed) {
   EXPECT_EQ(a.history, b.history);
 }
 
-TEST(Genetic, ParallelAndSerialFitnessAgree) {
-  const auto trace = phased(9, 2, 12, 5);
-  const auto machine = MachineSpec::uniform_local(2, 5);
-  GaConfig serial = small_ga(5);
-  serial.parallel_fitness = false;
-  GaConfig parallel = small_ga(5);
-  parallel.parallel_fitness = true;
-  const auto a = solve_genetic(trace, machine, {}, serial);
-  const auto b = solve_genetic(trace, machine, {}, parallel);
-  EXPECT_EQ(a.best.total(), b.best.total())
-      << "randomness lives outside the parallel section";
-}
-
 TEST(Genetic, HistoryIsMonotoneNonIncreasing) {
   const auto trace = phased(11, 3, 20, 6);
   const auto machine = MachineSpec::uniform_local(3, 6);

@@ -1,10 +1,42 @@
 #include "model/cost_switch.hpp"
 
+#include <atomic>
+#include <cstdlib>
+#include <new>
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "model/instance.hpp"
 #include "testutil/reference_eval.hpp"
 #include "testutil/trace_builders.hpp"
+#include "workload/generators.hpp"
+
+// --- global allocation counter for the scorer's no-allocation contract ----
+
+namespace {
+std::atomic<std::size_t> g_allocations{0};
+}  // namespace
+
+void* operator new(std::size_t size) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size)) return p;
+  throw std::bad_alloc();
+}
+void* operator new[](std::size_t size) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size)) return p;
+  throw std::bad_alloc();
+}
+// The replaced operator new above allocates with malloc, so freeing with
+// std::free is correct; GCC's -Wmismatched-new-delete can't see that.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+#pragma GCC diagnostic pop
 
 namespace hyperrec {
 namespace {
@@ -351,6 +383,197 @@ TEST(FullySyncSwitch, StatsBackedEvaluatorIsBitIdenticalToNaiveOracle) {
             evaluate_fully_sync_switch(trace, machine, schedule, options),
             expected, "trace-overload evaluator");
       }
+    }
+  }
+}
+
+// --- score_fully_sync: the search loops' total-only scorer ----------------
+
+const EvalOptions kScoreModes[] = {
+    {UploadMode::kTaskParallel, UploadMode::kTaskSequential, false},
+    {UploadMode::kTaskParallel, UploadMode::kTaskParallel, false},
+    {UploadMode::kTaskSequential, UploadMode::kTaskSequential, false},
+    {UploadMode::kTaskSequential, UploadMode::kTaskParallel, false},
+    {UploadMode::kTaskParallel, UploadMode::kTaskSequential, true},
+    {UploadMode::kTaskSequential, UploadMode::kTaskParallel, true},
+};
+
+/// Random trace with a private-demand curve per task, and a machine with
+/// distinct v_j, a public context and a pool that fits every block.
+struct GlobalFixture {
+  MultiTaskTrace trace;
+  MachineSpec machine;
+};
+
+GlobalFixture global_fixture(Xoshiro256& rng, std::size_t tasks,
+                             std::size_t steps, std::size_t universe) {
+  GlobalFixture fixture;
+  std::size_t pool = 0;
+  for (std::size_t j = 0; j < tasks; ++j) {
+    TaskTrace task = testutil::random_task_trace(rng, steps, universe);
+    const std::uint32_t high = 2 + static_cast<std::uint32_t>(j);
+    workload::add_private_demand(task, 1, high, 3);
+    pool += high;
+    fixture.trace.add_task(std::move(task));
+  }
+  fixture.machine =
+      MachineSpec::local_only(std::vector<std::size_t>(tasks, universe));
+  for (std::size_t j = 0; j < tasks; ++j) {
+    fixture.machine.tasks[j].local_init = static_cast<Cost>(5 + 7 * j);
+  }
+  fixture.machine.private_global_units = pool;
+  fixture.machine.public_context_size = 9;
+  fixture.machine.global_init = 23;
+  return fixture;
+}
+
+/// Adds a global hyperreconfiguration at `step` (with the local boundary it
+/// requires in every task).
+void add_global_boundary(MultiTaskSchedule& schedule, std::size_t step) {
+  for (Partition& partition : schedule.tasks) {
+    DynamicBitset mask = partition.to_boundary_mask();
+    mask.set(step);
+    partition = Partition::from_boundary_mask(mask);
+  }
+  schedule.global_boundaries.push_back(step);
+}
+
+TEST(ScoreFullySync, EqualsEvaluatorAndNaiveOracleAcrossModesAndSeams) {
+  Xoshiro256 rng(0x5C0BEull);
+  const std::size_t universes[] = {5, 63, 64, 65};
+  const std::size_t step_counts[] = {1, 2, 63, 64, 65, 127, 128, 129};
+  const double densities[] = {0.0, 0.05, 0.3, 1.0};
+  std::size_t checked = 0;
+  for (const std::size_t universe : universes) {
+    for (const std::size_t steps : step_counts) {
+      const std::size_t tasks = 1 + rng.uniform(3);
+      const bool global = rng.flip(0.5);
+      MultiTaskTrace trace;
+      MachineSpec machine;
+      if (global) {
+        GlobalFixture fixture = global_fixture(rng, tasks, steps, universe);
+        trace = std::move(fixture.trace);
+        machine = std::move(fixture.machine);
+      } else {
+        trace = testutil::random_multi_trace(rng, tasks, steps, universe);
+        machine = MachineSpec::local_only(
+            std::vector<std::size_t>(tasks, universe));
+      }
+      for (const EvalOptions& options : kScoreModes) {
+        const SolveInstance instance(trace, machine, options);
+        for (const double density : densities) {
+          MultiTaskSchedule schedule =
+              testutil::random_schedule(rng, trace, machine, density);
+          if (global && steps > 3) add_global_boundary(schedule, steps / 2);
+          const Cost expected =
+              testutil::reference_fully_sync_breakdown(trace, machine,
+                                                       schedule, options)
+                  .total;
+          ASSERT_EQ(evaluate_fully_sync_switch(instance, schedule).total,
+                    expected);
+          ASSERT_EQ(score_fully_sync(instance, schedule), expected)
+              << "universe " << universe << " steps " << steps << " tasks "
+              << tasks << " global " << global << " density " << density
+              << " modes " << static_cast<int>(options.hyper_upload)
+              << static_cast<int>(options.reconfig_upload)
+              << " changeover " << options.changeover;
+          ++checked;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(checked, 4u * 8u * 6u * 4u);
+}
+
+/// Runs `fn` and returns the PreconditionError text it throws ("" if none).
+template <typename Fn>
+std::string precondition_text(Fn&& fn) {
+  try {
+    fn();
+  } catch (const PreconditionError& error) {
+    return error.what();
+  }
+  return "";
+}
+
+TEST(ScoreFullySync, RejectsMalformedSchedulesWithTheEvaluatorsErrors) {
+  Xoshiro256 rng(0xBADull);
+  const GlobalFixture global = global_fixture(rng, 2, 70, 65);
+  const MultiTaskTrace local_trace =
+      testutil::random_multi_trace(rng, 2, 70, 65);
+  const MachineSpec local_machine = MachineSpec::local_only({65, 65});
+
+  MachineSpec tight_pool = global.machine;
+  tight_pool.private_global_units = 4;  // quotas 2 + 3 need 5 per block
+
+  struct Case {
+    const char* label;
+    const MultiTaskTrace* trace;
+    const MachineSpec* machine;
+    MultiTaskSchedule schedule;
+  };
+  MultiTaskSchedule global_ok = MultiTaskSchedule::all_single(2, 70);
+  global_ok.global_boundaries = {0};
+  std::vector<Case> cases;
+  cases.push_back({"task count", &local_trace, &local_machine,
+                   MultiTaskSchedule::all_single(3, 70)});
+  cases.push_back({"step count", &local_trace, &local_machine,
+                   MultiTaskSchedule::all_single(2, 69)});
+  {
+    MultiTaskSchedule s = MultiTaskSchedule::all_every_step(2, 70);
+    s.global_boundaries = {0, 40, 40};
+    cases.push_back({"unsorted globals", &global.trace, &global.machine, s});
+  }
+  {
+    MultiTaskSchedule s = global_ok;
+    s.global_boundaries.push_back(30);  // no local boundary at 30
+    cases.push_back({"global without local", &global.trace, &global.machine,
+                     s});
+  }
+  {
+    MultiTaskSchedule s = MultiTaskSchedule::all_single(2, 70);
+    s.global_boundaries = {0};
+    cases.push_back({"global on local machine", &local_trace, &local_machine,
+                     s});
+  }
+  cases.push_back({"missing global at 0", &global.trace, &global.machine,
+                   MultiTaskSchedule::all_single(2, 70)});
+  cases.push_back({"pool exceeded", &global.trace, &tight_pool, global_ok});
+
+  for (const EvalOptions& options : kScoreModes) {
+    for (const Case& c : cases) {
+      const SolveInstance instance(*c.trace, *c.machine, options);
+      const std::string expected = precondition_text(
+          [&] { (void)evaluate_fully_sync_switch(instance, c.schedule); });
+      ASSERT_FALSE(expected.empty()) << c.label;
+      EXPECT_EQ(precondition_text(
+                    [&] { (void)score_fully_sync(instance, c.schedule); }),
+                expected)
+          << c.label;
+    }
+  }
+}
+
+TEST(ScoreFullySync, MakesNoHeapAllocation) {
+  Xoshiro256 rng(0xA110Cull);
+  for (const std::size_t universe : {64u, 65u, 200u}) {
+    const GlobalFixture fixture = global_fixture(rng, 3, 129, universe);
+    for (const EvalOptions& options : kScoreModes) {
+      if (options.changeover) continue;  // delegates to the evaluator
+      const SolveInstance instance(fixture.trace, fixture.machine, options);
+      MultiTaskSchedule schedule =
+          testutil::random_schedule(rng, fixture.trace, fixture.machine, 0.3);
+      add_global_boundary(schedule, 64);
+      const std::size_t before =
+          g_allocations.load(std::memory_order_relaxed);
+      Cost sink = 0;
+      for (int rep = 0; rep < 16; ++rep) {
+        sink += score_fully_sync(instance, schedule);
+      }
+      const std::size_t after = g_allocations.load(std::memory_order_relaxed);
+      EXPECT_EQ(before, after) << "universe " << universe << " allocated";
+      EXPECT_EQ(sink,
+                16 * evaluate_fully_sync_switch(instance, schedule).total);
     }
   }
 }

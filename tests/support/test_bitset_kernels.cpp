@@ -232,6 +232,8 @@ TEST(KernelDispatch, TablesAreSelfConsistent) {
   } else {
     EXPECT_STREQ(kernels::active_isa(), "scalar");
   }
+  // Hardware popcount clones run exactly when a SIMD flavour is active.
+  EXPECT_EQ(kernels::hardware_popcount(), &active != &kernels::scalar_table());
 }
 
 TEST(KernelDispatch, ForceScalarMatchesEnvironment) {

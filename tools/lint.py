@@ -23,6 +23,11 @@ Rules (each reported as ``file:line: [rule-id] message``):
                  in src/, examples/ and bench/ outside that layer, so hot
                  loops cannot quietly fork from the dispatched kernels
                  (use kernels::popcount_word for one-off words).
+  cost-infinity  one cost-infinity: the DPs' "unreachable" sentinel is
+                 kCostInfinity (support/cost_math.hpp), whose saturating
+                 arithmetic assumes that exact value — file-local
+                 `numeric_limits<Cost>::max() / k` copies and `kInfinity`
+                 aliases are banned in src/, examples/ and bench/.
 
 Run from anywhere: `python3 tools/lint.py` (add `--root DIR` to lint a
 different tree, `--self-test` to prove every rule fires on a seeded
@@ -70,6 +75,14 @@ NEW_RE = re.compile(r"\bnew\b\s*(?:\(|[A-Za-z_:])")
 DELETE_RE = re.compile(r"\bdelete\b\s*(?:\[\s*\]\s*)?[A-Za-z_:(*]")
 VECTOR_RE = re.compile(r"\bstd::vector\s*<")
 POPCOUNT_RE = re.compile(r"__builtin_popcount\w*|\bstd::popcount\b")
+
+# The one home of the cost-infinity sentinel.
+COST_INFINITY_ALLOWLIST = {
+    "src/support/cost_math.hpp",
+}
+COST_INFINITY_RE = re.compile(
+    r"numeric_limits\s*<\s*Cost\s*>\s*::\s*max\s*\(\s*\)\s*/|\bkInfinity\b"
+)
 
 HOT_LOOP_BEGIN = "lint: hot-loop begin"
 HOT_LOOP_END = "lint: hot-loop end"
@@ -135,6 +148,7 @@ def lint_file(path: Path, rel: str, violations: list[Violation]) -> None:
     check_mutex = in_src and rel not in RAW_MUTEX_ALLOWLIST
     check_new = in_src and rel not in NAKED_NEW_ALLOWLIST
     check_popcount = rel not in WORD_KERNEL_ALLOWLIST
+    check_infinity = rel not in COST_INFINITY_ALLOWLIST
 
     # Raw-line scan for the hot-loop fences (they live in comments).
     fenced: set[int] = set()
@@ -174,6 +188,11 @@ def lint_file(path: Path, rel: str, violations: list[Violation]) -> None:
                 path, number, "word-kernel",
                 "raw popcount outside support/bitset_kernels — use the "
                 "kernels:: wrappers (kernels::popcount_word for one word)"))
+        if check_infinity and COST_INFINITY_RE.search(code):
+            violations.append(Violation(
+                path, number, "cost-infinity",
+                "use kCostInfinity from support/cost_math.hpp, not a "
+                "file-local copy or alias"))
         if in_src and number in fenced and VECTOR_RE.search(code):
             violations.append(Violation(
                 path, number, "hot-loop-alloc",
@@ -221,6 +240,12 @@ FIXTURES = {
         "}\n",
         3,
     ),
+    "cost-infinity": (
+        "src/core/bad_infinity.cpp",
+        "#include <limits>\n"
+        "constexpr Cost kInfinity = std::numeric_limits<Cost>::max() / 4;\n",
+        2,
+    ),
     "hot-loop-alloc": (
         "src/core/bad_hot.cpp",
         "void f() {\n"
@@ -238,6 +263,8 @@ CLEAN_FIXTURE = (
     "src/core/clean.cpp",
     '#include "support/thread_annotations.hpp"\n'
     "// prose may say std::mutex, std::popcount, new ideas or _naive ones\n"
+    "// or a file-local kInfinity\n"
+    "Cost best = std::numeric_limits<Cost>::max();\n"
     "hyperrec::Mutex ok{\"clean\"};\n"
     "void g() {\n"
     "  // lint: hot-loop begin\n"
